@@ -1,38 +1,35 @@
-//! The durable manifest — a two-slot, checksummed commit record.
+//! The durable manifest — a two-slot commit record.
 //!
 //! Every recoverable service needs one tiny piece of state that is
 //! *always* readable after a crash: "what was the last committed step, and
 //! what was in flight?". The manifest provides it with the classic
-//! versioned double-buffer:
+//! versioned double-buffer, as a schema over `lp-persist`'s sealed record
+//! (`[seq, fields…, check]`, see [`lp_persist::record`]):
 //!
 //! * two slots, each confined to its own cache line so a single torn
 //!   write-back can damage at most one slot;
-//! * each slot carries a sequence number and a SplitMix-folded checksum
-//!   over `(seq, fields)`;
-//! * a commit writes the slot the *older* sequence number lives in, then
-//!   drains just that line with retries (quarantining it if the device
-//!   keeps refusing — the quarantine copy is durable by construction);
-//! * a load recomputes both checksums against the **durable** media view
-//!   and picks the valid slot with the larger sequence number.
+//! * a commit seals the new fields into the slot the *older* sequence
+//!   number lives in and is durable only once the record reads back
+//!   intact from media. If it does not (the device refused the line or
+//!   tore its write-back), the line is quarantined: the cached copy is
+//!   intact, the quarantine copy is durable, and it is read back again;
+//! * a load reads both slots from the **durable** media view and picks the
+//!   valid one with the larger sequence number.
 //!
 //! A crash can therefore only ever revert the manifest to the previous
-//! valid state — never present a corrupt one — and services are written so
-//! that re-executing a step from the previous state is idempotent.
+//! valid state — never present a corrupt one — and a commit that reported
+//! success always survives. Services are written so that re-executing a
+//! step from the previous state is idempotent.
 
-use lp_persist::drain_line_with_retry;
+use lp_persist::record::{commit_record, read_record, RecordCommit};
 use nvm::{Addr, PersistMemory};
 
-use crate::mix64;
-
-/// Domain separator folded into every slot checksum.
+/// Domain separator folded into every slot's seal.
 const MANIFEST_MAGIC: u64 = 0x4C50_4150_5053_4D4E; // "LPAPPSMN"
 
-/// Flush retries per commit before the line is quarantined.
-const COMMIT_RETRIES: u32 = 8;
-
-/// A two-slot checksummed commit record in persistent memory.
+/// A two-slot sealed commit record in persistent memory.
 ///
-/// Field layout per slot (u64 words): `[seq, f_0 .. f_{N-1}, checksum]`.
+/// Word layout per slot: `[seq, f_0 .. f_{N-1}, check]`.
 #[derive(Debug, Clone)]
 pub struct DurableManifest {
     /// Base addresses of the two slots (each on its own cache line). A
@@ -51,8 +48,6 @@ impl DurableManifest {
     pub fn create(mem: &mut PersistMemory, fields: usize) -> Self {
         assert!(fields > 0, "manifest needs at least one field");
         let line = mem.config().line_size as u64;
-        let words = (fields as u64 + 2) * 8;
-        assert!(words <= line, "manifest slot must fit one cache line");
         let a = mem.alloc(line, line);
         let b = mem.alloc(line, line);
         let mut m = DurableManifest {
@@ -68,80 +63,43 @@ impl DurableManifest {
         m
     }
 
-    /// Checksum over `(seq, fields)` with a domain separator.
-    fn checksum(seq: u64, fields: &[u64]) -> u64 {
-        let mut acc = mix64(MANIFEST_MAGIC ^ seq);
-        for (i, f) in fields.iter().enumerate() {
-            acc = mix64(acc ^ f.wrapping_add(i as u64 + 1));
-        }
-        // A checksum of 0 would collide with never-written media.
-        acc | 1
-    }
-
-    /// Reads one slot from the durable media view; `Some((seq, fields))`
-    /// if its checksum validates.
+    /// Reads one slot from the durable media view.
     fn load_slot(&self, mem: &PersistMemory, slot: usize) -> Option<(u64, Vec<u64>)> {
-        let base = self.slots[slot];
-        let seq = mem.read_durable_u64(base);
-        let mut fields = Vec::with_capacity(self.fields);
-        for i in 0..self.fields {
-            fields.push(mem.read_durable_u64(base.index(i as u64 + 1, 8)));
-        }
-        let stored = mem.read_durable_u64(base.index(self.fields as u64 + 1, 8));
-        (stored == Self::checksum(seq, &fields)).then_some((seq, fields))
+        read_record(mem, self.slots[slot], MANIFEST_MAGIC, self.fields)
     }
 
     /// Loads the latest durable state: the valid slot with the larger
     /// sequence number, or `(0, zeros)` if neither slot validates (only
     /// possible before the very first commit drained).
     pub fn load(&mut self, mem: &PersistMemory) -> (u64, Vec<u64>) {
-        let a = self.load_slot(mem, 0);
-        let b = self.load_slot(mem, 1);
-        let best = match (a, b) {
-            (Some(x), Some(y)) => Some(if x.0 >= y.0 { x } else { y }),
-            (x, y) => x.or(y),
-        };
-        match best {
-            Some((seq, fields)) => {
-                self.seq = seq;
-                (seq, fields)
-            }
-            None => {
-                self.seq = 0;
-                (0, vec![0; self.fields])
-            }
-        }
+        let best = self
+            .load_slot(mem, 0)
+            .into_iter()
+            .chain(self.load_slot(mem, 1))
+            .max_by_key(|r| r.0);
+        let (seq, fields) = best.unwrap_or_else(|| (0, vec![0; self.fields]));
+        self.seq = seq;
+        (seq, fields)
     }
 
-    /// Commits a new field state: writes the older slot with `seq + 1`,
-    /// then forces that one line durable (retry, then quarantine).
-    /// Returns `false` only if power failed before durability.
+    /// Commits a new field state into the older slot with `seq + 1`.
+    /// Returns `true` only once the new record reads back intact from the
+    /// durable view; `false` means power failed before durability.
     pub fn commit(&mut self, mem: &mut PersistMemory, fields: &[u64]) -> bool {
         assert_eq!(fields.len(), self.fields, "field count is fixed at create");
-        if mem.power_failed() {
-            return false;
-        }
         let seq = self.seq + 1;
         let slot = (seq % 2) as usize;
-        let base = self.slots[slot];
-        mem.write_u64(base, seq);
-        for (i, f) in fields.iter().enumerate() {
-            mem.write_u64(base.index(i as u64 + 1, 8), *f);
-        }
-        mem.write_u64(
-            base.index(self.fields as u64 + 1, 8),
-            Self::checksum(seq, fields),
-        );
-        if !drain_line_with_retry(mem, base.raw(), COMMIT_RETRIES, |_| {}) {
-            if mem.power_failed() {
-                return false;
+        match commit_record(mem, self.slots[slot], MANIFEST_MAGIC, seq, fields) {
+            RecordCommit::Durable => {}
+            RecordCommit::PowerLost => return false,
+            RecordCommit::NotDurable => {
+                // Retire the line: the quarantine copy of the intact cached
+                // record is durable, and the slot follows the remap.
+                self.slots[slot] = mem.quarantine_line(self.slots[slot].raw());
+                if self.load_slot(mem, slot) != Some((seq, fields.to_vec())) {
+                    return false;
+                }
             }
-            // The device refuses this line; retire it. The quarantine copy
-            // is durable, and the slot follows the remap.
-            self.slots[slot] = mem.quarantine_line(base.raw());
-        }
-        if mem.power_failed() {
-            return false;
         }
         self.seq = seq;
         true
@@ -156,6 +114,7 @@ impl DurableManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lp_persist::record::record_check;
     use nvm::{FaultConfig, NvmConfig};
 
     fn mem() -> PersistMemory {
@@ -190,7 +149,10 @@ mod tests {
         mem.write_u64(base, seq);
         mem.write_u64(base.index(1, 8), 2);
         mem.write_u64(base.index(2, 8), 200);
-        mem.write_u64(base.index(3, 8), DurableManifest::checksum(seq, &[2, 200]));
+        mem.write_u64(
+            base.index(3, 8),
+            record_check(MANIFEST_MAGIC, seq, &[2, 200]),
+        );
         mem.crash();
         let (_, fields) = m.load(&mem);
         assert_eq!(fields, vec![1, 100]);
@@ -208,6 +170,23 @@ mod tests {
         mem.set_fault_config(None);
         let (_, fields) = m.load(&mem);
         assert!(fields == vec![5, 50] || fields == vec![6, 60]);
+    }
+
+    #[test]
+    fn a_commit_reported_durable_survives_a_crash_under_torn_write_backs() {
+        for seed in 0..64 {
+            let mut mem = mem();
+            let mut m = DurableManifest::create(&mut mem, 2);
+            assert!(m.commit(&mut mem, &[5, 50]));
+            // Every write-back tears but ACKs: only the durable read-back
+            // (and the quarantine it triggers) can make the commit honest.
+            mem.set_fault_config(Some(FaultConfig::torn(seed, 10_000)));
+            let committed = m.commit(&mut mem, &[6, 60]);
+            mem.set_fault_config(None);
+            assert!(committed, "seed {seed}: no power loss, so the commit lands");
+            mem.crash();
+            assert_eq!(m.load(&mem), (3, vec![6, 60]), "seed {seed}");
+        }
     }
 
     #[test]

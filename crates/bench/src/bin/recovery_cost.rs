@@ -9,7 +9,7 @@ use gpu_lp::{LpConfig, LpRuntime, RecoveryEngine};
 use lp_bench::{Args, Table};
 use lp_kernels::workload_by_name;
 use nvm::{NvmConfig, PersistMemory};
-use simt::{CrashSpec, DeviceConfig, Gpu};
+use simt::{CrashPlan, DeviceConfig, Gpu};
 
 /// A small-cache world: natural evictions happen within even small runs,
 /// so crash points land between "everything volatile" and "mostly
@@ -72,12 +72,10 @@ fn main() {
         );
         let kernel = w.kernel(Some(&rt));
         let outcome = gpu
-            .launch_with_crash(
+            .launch_with_plan(
                 kernel.as_ref(),
                 &mut mem,
-                CrashSpec {
-                    after_global_stores: crash_after,
-                },
+                CrashPlan::after_stores(crash_after),
             )
             .unwrap();
         if !outcome.crashed() {

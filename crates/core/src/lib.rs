@@ -37,7 +37,7 @@
 //! kernel:   let mut lp = LpBlockSession::begin(rt, ctx);
 //!           ... lp.store_f32(ctx, t, addr, v); ...        // store + checksum
 //!           lp.finalize(ctx);                             // reduce + publish
-//! crash:    gpu.launch_with_crash(...)                    // power loss
+//! crash:    gpu.launch_with_plan(.., CrashPlan::after_stores(n)) // power loss
 //! recover:  RecoveryEngine::new(&gpu).recover(&kernel, &rt, &mut mem)
 //! ```
 //!

@@ -125,7 +125,7 @@ impl<'g> RecoveryEngine<'g> {
                 if mem.power_failed() {
                     return report;
                 }
-                let cost = self.gpu.run_single_block(kernel, mem, *b);
+                let cost = self.gpu.run_single_block(kernel, mem, *b, None);
                 let cfg = self.gpu.config();
                 report.reexecution_ns_x1000 +=
                     (cost.time_ns(cfg.sm_width, cfg.clock_ghz) * 1000.0) as u64;
@@ -150,7 +150,7 @@ mod tests {
     use crate::checksum::f32_store_image;
     use crate::region::{LpBlockSession, LpConfig};
     use nvm::{Addr, NvmConfig};
-    use simt::{BlockCtx, CrashSpec, DeviceConfig, LaunchConfig};
+    use simt::{BlockCtx, CrashPlan, DeviceConfig, LaunchConfig};
 
     /// out[i] = (i % 97) * 0.5 as f32, LP-protected, one value per thread.
     struct FillLp<'rt> {
@@ -242,13 +242,7 @@ mod tests {
             rt: &rt,
         };
         let outcome = gpu
-            .launch_with_crash(
-                &k,
-                &mut mem,
-                CrashSpec {
-                    after_global_stores: 700,
-                },
-            )
+            .launch_with_plan(&k, &mut mem, CrashPlan::after_stores(700))
             .unwrap();
         assert!(outcome.crashed());
 
@@ -271,14 +265,8 @@ mod tests {
             n: 1024,
             rt: &rt,
         };
-        gpu.launch_with_crash(
-            &k,
-            &mut mem,
-            CrashSpec {
-                after_global_stores: 300,
-            },
-        )
-        .unwrap();
+        gpu.launch_with_plan(&k, &mut mem, CrashPlan::after_stores(300))
+            .unwrap();
         let eng = RecoveryEngine::new(&gpu);
         let r1 = eng.recover(&k, &rt, &mut mem);
         let r2 = eng.recover(&k, &rt, &mut mem);
@@ -296,14 +284,8 @@ mod tests {
             n: 512,
             rt: &rt,
         };
-        gpu.launch_with_crash(
-            &k,
-            &mut mem,
-            CrashSpec {
-                after_global_stores: 0,
-            },
-        )
-        .unwrap();
+        gpu.launch_with_plan(&k, &mut mem, CrashPlan::after_stores(0))
+            .unwrap();
         let eng = RecoveryEngine::new(&gpu);
         let report = eng.recover(&k, &rt, &mut mem);
         assert!(report.recovered);
@@ -321,14 +303,8 @@ mod tests {
                 n: 1024,
                 rt: &rt,
             };
-            gpu.launch_with_crash(
-                &k,
-                &mut mem,
-                CrashSpec {
-                    after_global_stores: 400,
-                },
-            )
-            .unwrap();
+            gpu.launch_with_plan(&k, &mut mem, CrashPlan::after_stores(400))
+                .unwrap();
             let report = RecoveryEngine::new(&gpu).recover(&k, &rt, &mut mem);
             assert!(report.recovered, "{:?}", rt.config().table);
             verify_output(&mut mem, out, 1024);
@@ -344,14 +320,8 @@ mod tests {
             n: 2048,
             rt: &rt,
         };
-        gpu.launch_with_crash(
-            &k,
-            &mut mem,
-            CrashSpec {
-                after_global_stores: 700,
-            },
-        )
-        .unwrap();
+        gpu.launch_with_plan(&k, &mut mem, CrashPlan::after_stores(700))
+            .unwrap();
 
         // Second crash: power fails partway through the recovery
         // re-executions themselves.
@@ -384,14 +354,8 @@ mod tests {
             n: 512,
             rt: &rt,
         };
-        gpu.launch_with_crash(
-            &k,
-            &mut mem,
-            CrashSpec {
-                after_global_stores: 100,
-            },
-        )
-        .unwrap();
+        gpu.launch_with_plan(&k, &mut mem, CrashPlan::after_stores(100))
+            .unwrap();
         mem.arm_crash_after_evictions(0);
         // Trip the trigger with a single store.
         mem.write_u64(out, 0);
@@ -413,14 +377,8 @@ mod tests {
             n: 512,
             rt: &rt,
         };
-        gpu.launch_with_crash(
-            &k,
-            &mut mem,
-            CrashSpec {
-                after_global_stores: 100,
-            },
-        )
-        .unwrap();
+        gpu.launch_with_plan(&k, &mut mem, CrashPlan::after_stores(100))
+            .unwrap();
         RecoveryEngine::new(&gpu).recover(&k, &rt, &mut mem);
         // A second crash right after recovery must lose nothing.
         mem.crash();

@@ -622,7 +622,7 @@ impl LpRuntime {
     /// idea associatively by folding `splitmix64(key + 1)` into the reduced
     /// checksums — both at publish time and at recovery recompute time.
     fn seal(&self, key: u64, mut reduced: Vec<u64>) -> Vec<u64> {
-        let seed = crate::table::splitmix64(key + 1);
+        let seed = nvm::splitmix64(key + 1);
         for (v, kind) in reduced.iter_mut().zip(self.config.checksums.kinds()) {
             *v = if kind.is_associative() {
                 kind.combine(*v, seed)
@@ -638,7 +638,7 @@ impl LpRuntime {
     /// *before* the token, so a surviving token implies durable data.
     fn commit_token(&self, key: u64) -> Vec<u64> {
         (0..self.config.checksums.arity() as u64)
-            .map(|c| crate::table::splitmix64(key.wrapping_mul(2) + 1 + (c << 32)))
+            .map(|c| nvm::splitmix64(key.wrapping_mul(2) + 1 + (c << 32)))
             .collect()
     }
 

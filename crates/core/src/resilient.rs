@@ -245,18 +245,14 @@ impl<'g> ResilientRecovery<'g> {
         report: &mut ResilientReport,
         quarantined_regions: &mut BTreeSet<u64>,
     ) {
-        for attempt in 0..self.cfg.flush_retries {
-            if mem.flush_all_result() == 0 || mem.power_failed() {
-                return;
-            }
-            self.charge_backoff(attempt, report);
-        }
-        // The retry budget is spent: whatever is still dirty sits on lines
-        // the device keeps refusing. Retire them — the quarantine copy is
-        // made durable by firmware, bypassing the failing write-back path.
-        for (base, writers) in mem.dirty_line_info() {
+        // Lines still refused after the retry budget are retired: the
+        // quarantine copy is made durable by firmware, bypassing the
+        // failing write-back path.
+        let stubborn = lp_persist::drain_all_with_retry(mem, self.cfg.flush_retries, |attempt| {
+            self.charge_backoff(attempt, report)
+        });
+        for (_, writers) in stubborn {
             quarantined_regions.extend(writers);
-            mem.quarantine_line(base);
             report.quarantined_lines += 1;
         }
     }
@@ -299,7 +295,7 @@ impl<'g> ResilientRecovery<'g> {
         };
         let cost = self
             .gpu
-            .run_single_block_observed(kernel, mem, block, &mut rec);
+            .run_single_block(kernel, mem, block, Some(&mut rec));
         report.degraded_reexecutions += 1;
         for base in rec.bases {
             let persisted =
@@ -378,7 +374,7 @@ impl<'g> ResilientRecovery<'g> {
                 let ns = if *fails > self.cfg.degraded_after {
                     self.degraded_reexecute(kernel, mem, b, &mut report, &mut quarantined_regions)
                 } else {
-                    let cost = self.gpu.run_single_block(kernel, mem, b);
+                    let cost = self.gpu.run_single_block(kernel, mem, b, None);
                     let cfg = self.gpu.config();
                     cost.time_ns(cfg.sm_width, cfg.clock_ghz)
                 };

@@ -27,7 +27,7 @@ mod quad;
 
 pub use array::GlobalArrayTable;
 pub use cuckoo::CuckooTable;
-pub use hash::{hash_with_seed, splitmix64};
+pub use hash::hash_with_seed;
 pub use quad::QuadraticProbeTable;
 
 use nvm::{Addr, PersistMemory};

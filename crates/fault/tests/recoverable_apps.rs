@@ -12,7 +12,7 @@
 
 use gpu_lp::BackendKind;
 use lp_apps::{build_app, AppKind, AppParams};
-use lp_fault::soak_world;
+use lp_fault::{run_soak, soak_world, SoakSpec};
 use nvm::PersistMemory;
 use simt::Gpu;
 
@@ -177,5 +177,30 @@ fn double_crash_during_restore_converges_at_the_app_level() {
         );
         let violations = app.verify_invariants(&mut mem);
         assert!(violations.is_empty(), "{kind}: {violations:?}");
+    }
+}
+
+/// Soak cells (test-scale plan: LP backend, 200 bp, 6 cycles of up to 3
+/// steps, width 48) in which the device tears a manifest write-back but
+/// ACKs it. A manifest that trusted the ACK would report the commit
+/// durable, and the next crash would revert the app to its previous
+/// step; every cell must come through clean.
+#[test]
+fn torn_manifest_commits_never_lose_a_step_in_a_soak() {
+    for (app, seed) in [
+        (AppKind::Train, 6),
+        (AppKind::Queue, 50),
+        (AppKind::KvTxn, 104),
+    ] {
+        let report = run_soak(&SoakSpec {
+            app,
+            backend: BackendKind::LpChecksum,
+            seed,
+            cycles: 6,
+            max_steps_per_cycle: 3,
+            fault_bp: 200,
+            width: 48,
+        });
+        assert!(report.passed, "{app} seed {seed}: {:?}", report.failures());
     }
 }

@@ -5,7 +5,7 @@
 use crate::workload::Workload;
 use gpu_lp::{LpConfig, LpRuntime, RecoveryEngine};
 use nvm::{NvmConfig, PersistMemory};
-use simt::{CrashSpec, DeviceConfig, Gpu};
+use simt::{CrashPlan, DeviceConfig, Gpu};
 
 /// A small device + small cache world: evictions (natural persistence)
 /// happen early and often, which is the regime LP cares about.
@@ -89,12 +89,10 @@ pub fn assert_crash_recovery(w: &mut dyn Workload, crash_after_stores: u64) {
     );
     let kernel = w.kernel(Some(&rt));
     let outcome = gpu
-        .launch_with_crash(
+        .launch_with_plan(
             kernel.as_ref(),
             &mut mem,
-            CrashSpec {
-                after_global_stores: crash_after_stores,
-            },
+            CrashPlan::after_stores(crash_after_stores),
         )
         .expect("launch failed");
     if !outcome.crashed() {

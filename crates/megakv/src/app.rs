@@ -7,7 +7,7 @@ use crate::kernels::{DeleteKernel, InsertKernel, SearchKernel, OPS_PER_BLOCK};
 use crate::store::{KvStore, NOT_FOUND};
 use gpu_lp::{LpConfig, LpRuntime, Recoverable, RecoveryEngine, RecoveryReport};
 use nvm::PersistMemory;
-use simt::{CrashSpec, Gpu, LaunchStats};
+use simt::{CrashPlan, Gpu, LaunchStats};
 
 /// Which batched operation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,13 +131,7 @@ impl MegaKv {
     ) -> RecoveryReport {
         let k = self.kernel(op, Some(lp));
         let outcome = gpu
-            .launch_with_crash(
-                k.as_ref(),
-                mem,
-                CrashSpec {
-                    after_global_stores: crash_after_stores,
-                },
-            )
+            .launch_with_plan(k.as_ref(), mem, CrashPlan::after_stores(crash_after_stores))
             .expect("launch failed");
         if !outcome.crashed() {
             mem.flush_all();

@@ -8,7 +8,7 @@ use rand::SeedableRng;
 /// Expected value for a key in the generated workload (deterministic, so
 /// verification needs no host mirror).
 pub fn value_of(key: u64) -> u64 {
-    gpu_lp::table::splitmix64(key ^ 0x7A1_5EED)
+    nvm::splitmix64(key ^ 0x7A1_5EED)
 }
 
 /// A batch of keys uploaded to device memory, plus result space.

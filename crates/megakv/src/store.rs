@@ -61,7 +61,7 @@ impl KvStore {
 
     /// Home bucket of `key`.
     pub fn bucket_of(&self, key: u64) -> u64 {
-        gpu_lp::table::splitmix64(key) % self.buckets
+        nvm::splitmix64(key) % self.buckets
     }
 
     /// Device address of the key word of (bucket, slot).

@@ -47,3 +47,16 @@ pub use config::NvmConfig;
 pub use fault::{DeviceFaults, FaultConfig, FaultModel, FlushOutcome};
 pub use memory::{CrashLoss, CrashPredicate, LostLine, PersistMemory};
 pub use stats::NvmStats;
+
+/// SplitMix64 (Vigna's finaliser): the workspace's one 64-bit mixer, a
+/// cheap, well-avalanched permutation. It seeds the fault model's PRNG,
+/// indexes the checksum tables, seals durable records and derives every
+/// app and soak schedule, so its constants must never change — persisted
+/// images and every digest depend on them.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}

@@ -6,7 +6,7 @@ use crate::backend::{
     BackendKind, BlockPersistSession, DurabilityContract, PersistScope, PersistencyBackend,
     SessionStats,
 };
-use nvm::{Addr, FlushOutcome, PersistMemory};
+use nvm::Addr;
 use simt::BlockCtx;
 use std::collections::BTreeSet;
 
@@ -126,32 +126,10 @@ impl BlockPersistSession for EagerSession {
     }
 }
 
-/// Writes back the line at `base` with up to `retries` attempts, calling
-/// `on_transient_fail(attempt)` after each refused write-back (the caller
-/// charges its backoff there). Returns whether the line ended durable.
-///
-/// This is the recovery runtime's degraded "flush-per-store at region
-/// granularity" primitive, shared so the resilient engine and the eager
-/// backend agree on what a retried eager persist means.
-pub fn drain_line_with_retry(
-    mem: &mut PersistMemory,
-    base: u64,
-    retries: u32,
-    mut on_transient_fail: impl FnMut(u32),
-) -> bool {
-    for attempt in 0..retries {
-        match mem.flush_line_checked(Addr::new(base)) {
-            FlushOutcome::Clean | FlushOutcome::Persisted => return true,
-            FlushOutcome::TransientFail => on_transient_fail(attempt),
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvm::NvmConfig;
+    use nvm::{NvmConfig, PersistMemory};
     use simt::{DeviceConfig, DeviceState, LaunchConfig};
 
     fn fixture() -> (PersistMemory, DeviceState, DeviceConfig, LaunchConfig) {
@@ -192,18 +170,5 @@ mod tests {
         let _ = ctx.into_cost();
         assert_eq!(s.session_stats().lines_persisted, 4);
         assert_eq!(mem.dirty_lines(), 0, "commit drained every dirty line");
-    }
-
-    #[test]
-    fn drain_with_retry_reports_attempts() {
-        let (mut mem, _, _, _) = fixture();
-        let a = mem.alloc(128, 8);
-        mem.write_u64(a, 1);
-        let mut fails = 0;
-        assert!(drain_line_with_retry(&mut mem, a.raw(), 3, |_| fails += 1));
-        assert_eq!(fails, 0, "perfect device persists on the first try");
-        // Already clean: still true, still no failures.
-        assert!(drain_line_with_retry(&mut mem, a.raw(), 3, |_| fails += 1));
-        assert_eq!(fails, 0);
     }
 }

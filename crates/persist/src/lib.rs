@@ -26,6 +26,11 @@
 //! is what lets the whole benchmark suite, fault campaign, and sanitizer
 //! run unmodified across the spectrum (and is property-tested in the
 //! umbrella crate).
+//!
+//! The crate also owns the one durable commit path, [`record`]: the sealed
+//! record format that the policy journal and the app manifest are schemas
+//! over, its commit-and-read-back protocol, and the drain-with-retry loops
+//! the recovery runtime and the apps share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,14 +38,16 @@
 pub mod backend;
 pub mod eager;
 pub mod epoch;
+pub mod record;
 pub mod sbrp;
 
 pub use backend::{
     BackendKind, BlockPersistSession, DurabilityContract, NoopSession, PersistScope,
     PersistencyBackend, SessionStats,
 };
-pub use eager::{drain_line_with_retry, EagerBackend, EagerFlushPolicy, EagerSession};
+pub use eager::{EagerBackend, EagerFlushPolicy, EagerSession};
 pub use epoch::{EpochBackend, EpochSession};
+pub use record::{drain_all_with_retry, drain_line_with_retry};
 pub use sbrp::{SbrpBackend, SbrpConfig, SbrpSession};
 
 /// The LP-checksum backend: persistency by natural eviction.

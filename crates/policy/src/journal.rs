@@ -5,40 +5,28 @@
 //! contract each region must be validated under. The write protocol makes
 //! each transition crash-consistent:
 //!
-//! 1. the 32-byte record (sequence, region, old/new rung, checksum) is
-//!    written to the next free slot,
+//! 1. the 32-byte sealed record `[seq, region, old/new rung, check]` (the
+//!    `lp-persist` record format, [`lp_persist::record`]) is written to
+//!    the next free slot,
 //! 2. the slot's cache line is flushed (with retry on transient refusal),
-//! 3. the record is read back **from the durable image** and its checksum
+//! 3. the record is read back **from the durable image** and its seal
 //!    re-verified — only then does the switch take effect in memory.
 //!
 //! A crash before step 3 completes leaves either no durable record or a
-//! torn one; torn records fail the checksum and are ignored by replay, so
+//! torn one; torn records fail the seal and are ignored by replay, so
 //! the region recovers under the *old* contract. A crash after step 3
 //! recovers under the *new* contract. There is no third possibility — that
 //! is the "old or new, never a hybrid" guarantee the fault campaign's
 //! journal/data-agreement oracle checks.
 
 use crate::mode::PolicyMode;
-use nvm::{Addr, FlushOutcome, PersistMemory};
+use lp_persist::record::{commit_record, read_record, record_bytes, RecordCommit};
+use nvm::{Addr, PersistMemory};
 
 /// Bytes per journal record: four 8-byte words.
-pub const RECORD_BYTES: u64 = 32;
-
-/// Flush retries before an append reports the device refused durability.
-const APPEND_RETRIES: u32 = 6;
+pub const RECORD_BYTES: u64 = record_bytes(2);
 
 const MAGIC: u64 = 0x1b9e_ca11_ab1e_0007;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn record_checksum(seq: u64, region: u64, packed: u64) -> u64 {
-    splitmix64(seq ^ splitmix64(region ^ splitmix64(packed ^ MAGIC)))
-}
 
 /// One replayed (valid) journal record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +85,9 @@ impl PolicyJournal {
 
     /// Appends a switch record and makes it durable. Returns `true` only
     /// after the record has been flushed **and** read back intact from the
-    /// durable image; on `false` (device refused, tore the write-back, or
-    /// the journal is full) the caller must keep the region on `old`.
+    /// durable image; on `false` (device refused, tore the write-back,
+    /// power failed, or the journal is full) the caller must keep the
+    /// region on `old`.
     pub fn append(
         &mut self,
         mem: &mut PersistMemory,
@@ -112,53 +101,27 @@ impl PolicyJournal {
         let slot = self.slot(self.cursor);
         let seq = self.next_seq;
         let packed = old.rank() as u64 | ((new.rank() as u64) << 8);
-        mem.write_u64(slot, seq);
-        mem.write_u64(slot.offset(8), region);
-        mem.write_u64(slot.offset(16), packed);
-        mem.write_u64(slot.offset(24), record_checksum(seq, region, packed));
-        for _ in 0..APPEND_RETRIES {
-            if mem.power_failed() {
-                return false;
-            }
-            match mem.flush_line_checked(slot) {
-                FlushOutcome::TransientFail => continue,
-                FlushOutcome::Persisted | FlushOutcome::Clean => {
-                    // The device *claimed* durability; believe only the
-                    // durable image (a torn write-back also claims success).
-                    if self.read_record(mem, self.cursor).is_some() {
-                        self.cursor += 1;
-                        self.next_seq = seq + 1;
-                        return true;
-                    }
-                }
-            }
+        if commit_record(mem, slot, MAGIC, seq, &[region, packed]) == RecordCommit::Durable {
+            self.cursor += 1;
+            self.next_seq = seq + 1;
+            return true;
         }
-        // Durability refused: blank the slot in cache so a later natural
-        // eviction persists an empty record, not a half-written switch.
-        for w in 0..4 {
-            mem.write_u64(slot.offset(8 * w), 0);
+        // Not durable: blank the slot in cache so a later natural eviction
+        // persists an empty record, not a half-written switch.
+        for w in 0..RECORD_BYTES / 8 {
+            mem.write_u64(slot.index(w, 8), 0);
         }
         false
     }
 
     /// Reads slot `i` from the durable image; `None` for empty/torn/corrupt.
     fn read_record(&self, mem: &PersistMemory, i: u64) -> Option<JournalRecord> {
-        let slot = self.slot(i);
-        let seq = mem.read_durable_u64(slot);
-        if seq == 0 {
-            return None;
-        }
-        let region = mem.read_durable_u64(slot.offset(8));
-        let packed = mem.read_durable_u64(slot.offset(16));
-        let check = mem.read_durable_u64(slot.offset(24));
-        if check != record_checksum(seq, region, packed) {
-            return None;
-        }
-        let old = PolicyMode::from_rank((packed & 0xff) as u8)?;
-        let new = PolicyMode::from_rank(((packed >> 8) & 0xff) as u8)?;
+        let (seq, words) = read_record(mem, self.slot(i), MAGIC, 2)?;
+        let old = PolicyMode::from_rank((words[1] & 0xff) as u8)?;
+        let new = PolicyMode::from_rank(((words[1] >> 8) & 0xff) as u8)?;
         Some(JournalRecord {
             seq,
-            region,
+            region: words[0],
             old,
             new,
         })

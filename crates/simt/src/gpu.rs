@@ -10,16 +10,7 @@ use nvm::PersistMemory;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Where to inject a power loss during a launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CrashSpec {
-    /// The device loses power after this many global stores (stores and
-    /// atomic writes both advance the clock). `0` crashes before the first
-    /// store persists anything.
-    pub after_global_stores: u64,
-}
-
-/// A richer crash-injection plan than [`CrashSpec`]: power can be lost
+/// Where to inject a power loss during a launch: power can be lost
 /// either after a number of global stores (mid-block), after a number of
 /// completed thread blocks (a kernel-boundary-like point inside the grid),
 /// or whenever an armed trigger in the [`PersistMemory`] itself fires
@@ -29,7 +20,9 @@ pub struct CrashSpec {
 /// makes a plan-driven launch loop uniform for campaign runners.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CrashPlan {
-    /// Lose power after this many global stores (`CrashSpec` semantics).
+    /// Lose power after this many global stores (stores and atomic writes
+    /// both advance the clock). `Some(0)` crashes before the first store
+    /// persists anything.
     pub after_global_stores: Option<u64>,
     /// Lose power at the boundary after this many thread blocks complete.
     /// `Some(0)` crashes before any block runs.
@@ -42,18 +35,17 @@ impl CrashPlan {
         Self::default()
     }
 
+    /// A plan that loses power after `n` global stores.
+    pub fn after_stores(n: u64) -> Self {
+        Self {
+            after_global_stores: Some(n),
+            after_blocks: None,
+        }
+    }
+
     /// Whether the plan has no device-side crash condition.
     pub fn is_empty(&self) -> bool {
         self.after_global_stores.is_none() && self.after_blocks.is_none()
-    }
-}
-
-impl From<CrashSpec> for CrashPlan {
-    fn from(spec: CrashSpec) -> Self {
-        Self {
-            after_global_stores: Some(spec.after_global_stores),
-            after_blocks: None,
-        }
     }
 }
 
@@ -147,33 +139,16 @@ impl Gpu {
         }
     }
 
-    /// Launches `kernel` with an injected power loss.
+    /// Launches `kernel` under a [`CrashPlan`].
     ///
     /// If the crash point is reached, all stores after it are dropped, the
     /// remaining blocks never run, and the memory's volatile cache is
     /// discarded (as a real power loss would), leaving only the durable
-    /// view. If the kernel finishes first, the launch completes normally.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LaunchError::EmptyLaunch`] for an empty grid/block.
-    pub fn launch_with_crash(
-        &self,
-        kernel: &dyn Kernel,
-        mem: &mut PersistMemory,
-        crash: CrashSpec,
-    ) -> Result<LaunchOutcome, LaunchError> {
-        self.launch_inner(kernel, mem, crash.into(), None)
-    }
-
-    /// Launches `kernel` under a [`CrashPlan`].
-    ///
-    /// Unlike [`Gpu::launch_with_crash`] this also reports `Crashed` when a
-    /// trigger armed on the memory itself (see
-    /// [`PersistMemory::arm_crash_after_evictions`] and friends) trips the
-    /// power mid-launch, and it supports crashing at a block boundary. An
-    /// empty plan with no armed trigger behaves exactly like
-    /// [`Gpu::launch`].
+    /// view. A trigger armed on the memory itself (see
+    /// [`PersistMemory::arm_crash_after_evictions`] and friends) that trips
+    /// the power mid-launch is reported as `Crashed` too. If the kernel
+    /// finishes first, the launch completes normally; an empty plan with no
+    /// armed trigger behaves exactly like [`Gpu::launch`].
     ///
     /// # Errors
     ///
@@ -209,11 +184,13 @@ impl Gpu {
     }
 
     /// Re-executes a single thread block of `kernel` in isolation and
-    /// returns its cost.
+    /// returns its cost, reporting every access to `obs` if given.
     ///
     /// This is the recovery path: Lazy Persistency re-runs exactly the
     /// blocks whose checksums failed validation. Blocks must be associative
     /// (independent), so running one alone is legal by construction.
+    /// Degraded-mode recovery observes the re-execution to learn the exact
+    /// set of lines the block stores to, then persists them line by line.
     ///
     /// # Panics
     ///
@@ -223,42 +200,22 @@ impl Gpu {
         kernel: &dyn Kernel,
         mem: &mut PersistMemory,
         block_id: u64,
+        mut obs: Option<&mut dyn AccessObserver>,
     ) -> crate::BlockCost {
         let lc = kernel.config();
         assert!(block_id < lc.num_blocks(), "block id outside grid");
         let line = mem.config().line_size as u64;
         let mut dev = DeviceState::new(&self.cfg, 1, line);
-        let mut ctx = BlockCtx::new(lc, block_id, mem, &mut dev, &self.cfg);
-        kernel.run_block(&mut ctx);
-        ctx.finish()
-    }
-
-    /// [`Self::run_single_block`] with every access reported to `obs`.
-    ///
-    /// Used by degraded-mode recovery: re-executing a failed block under
-    /// observation yields the exact set of lines it stores to, which the
-    /// recovery runtime then persists eagerly, line by line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_id` is outside the kernel's grid.
-    pub fn run_single_block_observed(
-        &self,
-        kernel: &dyn Kernel,
-        mem: &mut PersistMemory,
-        block_id: u64,
-        obs: &mut dyn AccessObserver,
-    ) -> crate::BlockCost {
-        let lc = kernel.config();
-        assert!(block_id < lc.num_blocks(), "block id outside grid");
-        let line = mem.config().line_size as u64;
-        let mut dev = DeviceState::new(&self.cfg, 1, line);
-        obs.on_block_begin(block_id);
-        let mut ctx =
-            BlockCtx::new_observed(lc, block_id, mem, &mut dev, &self.cfg, Some(&mut *obs));
+        if let Some(o) = obs.as_deref_mut() {
+            o.on_block_begin(block_id);
+        }
+        let o = obs.as_deref_mut().map(|o| o as &mut dyn AccessObserver);
+        let mut ctx = BlockCtx::new_observed(lc, block_id, mem, &mut dev, &self.cfg, o);
         kernel.run_block(&mut ctx);
         let cost = ctx.finish();
-        obs.on_block_end(block_id);
+        if let Some(o) = obs {
+            o.on_block_end(block_id);
+        }
         cost
     }
 
@@ -488,13 +445,7 @@ mod tests {
             mult: 1,
         };
         let outcome = gpu
-            .launch_with_crash(
-                &k,
-                &mut mem,
-                CrashSpec {
-                    after_global_stores: 500,
-                },
-            )
+            .launch_with_plan(&k, &mut mem, CrashPlan::after_stores(500))
             .unwrap();
         assert!(outcome.crashed());
         let stats = outcome.stats();
@@ -597,13 +548,7 @@ mod tests {
             mult: 1,
         };
         let outcome = gpu
-            .launch_with_crash(
-                &k,
-                &mut mem,
-                CrashSpec {
-                    after_global_stores: 500,
-                },
-            )
+            .launch_with_plan(&k, &mut mem, CrashPlan::after_stores(500))
             .unwrap();
         assert!(outcome.crashed());
         let loss = mem
@@ -629,13 +574,7 @@ mod tests {
             mult: 2,
         };
         let outcome = gpu
-            .launch_with_crash(
-                &k,
-                &mut mem,
-                CrashSpec {
-                    after_global_stores: 1_000_000,
-                },
-            )
+            .launch_with_plan(&k, &mut mem, CrashPlan::after_stores(1_000_000))
             .unwrap();
         assert!(!outcome.crashed());
     }

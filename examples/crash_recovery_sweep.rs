@@ -11,7 +11,7 @@
 use lpgpu::gpu_lp::{LpConfig, LpRuntime, RecoveryEngine};
 use lpgpu::lp_kernels::{all_workloads, Scale};
 use lpgpu::nvm::{NvmConfig, PersistMemory};
-use lpgpu::simt::{CrashSpec, DeviceConfig, Gpu};
+use lpgpu::simt::{CrashPlan, DeviceConfig, Gpu};
 
 fn main() {
     let gpu = Gpu::new(DeviceConfig::test_gpu());
@@ -38,13 +38,7 @@ fn main() {
             let kernel = w.kernel(Some(&rt));
 
             let outcome = gpu
-                .launch_with_crash(
-                    kernel.as_ref(),
-                    &mut mem,
-                    CrashSpec {
-                        after_global_stores: point,
-                    },
-                )
+                .launch_with_plan(kernel.as_ref(), &mut mem, CrashPlan::after_stores(point))
                 .expect("launch");
             if !outcome.crashed() {
                 mem.flush_all();

@@ -6,7 +6,7 @@
 use lpgpu::gpu_lp::checksum::f32_store_image;
 use lpgpu::gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable, RecoveryEngine};
 use lpgpu::nvm::{Addr, NvmConfig, PersistMemory};
-use lpgpu::simt::{BlockCtx, CrashSpec, DeviceConfig, Gpu, Kernel, LaunchConfig};
+use lpgpu::simt::{BlockCtx, CrashPlan, DeviceConfig, Gpu, Kernel, LaunchConfig};
 
 /// A toy kernel: `out[i] = sqrt(i) * 2`. Each thread block is one LP
 /// region; every store is folded into the block's checksums.
@@ -78,13 +78,7 @@ fn main() {
 
     // 2. Launch with an injected power loss mid-kernel.
     let outcome = gpu
-        .launch_with_crash(
-            &kernel,
-            &mut mem,
-            CrashSpec {
-                after_global_stores: 20_000,
-            },
-        )
+        .launch_with_plan(&kernel, &mut mem, CrashPlan::after_stores(20_000))
         .expect("launch");
     println!(
         "crashed: {} (blocks executed: {}/{})",

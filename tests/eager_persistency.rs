@@ -8,7 +8,7 @@
 use lpgpu::gpu_lp::{BackendKind, LpConfig, LpRuntime, PersistMode, RecoveryEngine};
 use lpgpu::lp_kernels::{workload_by_name, Scale};
 use lpgpu::nvm::{NvmConfig, PersistMemory};
-use lpgpu::simt::{CrashSpec, DeviceConfig, Gpu};
+use lpgpu::simt::{CrashPlan, DeviceConfig, Gpu};
 
 /// The backends that issue persist instructions (everything but LP).
 const EXPLICIT_BACKENDS: [BackendKind; 3] =
@@ -101,13 +101,7 @@ fn explicit_backends_recover_from_mid_kernel_crash() {
         );
         let kernel = w.kernel(Some(&rt));
         let outcome = gpu
-            .launch_with_crash(
-                kernel.as_ref(),
-                &mut mem,
-                CrashSpec {
-                    after_global_stores: 300,
-                },
-            )
+            .launch_with_plan(kernel.as_ref(), &mut mem, CrashPlan::after_stores(300))
             .unwrap();
         assert!(outcome.crashed());
         let report = RecoveryEngine::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);

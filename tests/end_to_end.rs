@@ -7,7 +7,7 @@ use lpgpu::gpu_lp::{
 };
 use lpgpu::lp_kernels::{all_workloads, workload_by_name, Scale, Workload};
 use lpgpu::nvm::{NvmConfig, PersistMemory};
-use lpgpu::simt::{CrashSpec, DeviceConfig, Gpu};
+use lpgpu::simt::{CrashPlan, DeviceConfig, Gpu};
 
 fn world() -> (Gpu, PersistMemory) {
     let mem = PersistMemory::new(NvmConfig {
@@ -30,13 +30,7 @@ fn run_config(w: &mut dyn Workload, config: LpConfig, crash_after: Option<u64>) 
         }
         Some(point) => {
             let outcome = gpu
-                .launch_with_crash(
-                    kernel.as_ref(),
-                    &mut mem,
-                    CrashSpec {
-                        after_global_stores: point,
-                    },
-                )
+                .launch_with_plan(kernel.as_ref(), &mut mem, CrashPlan::after_stores(point))
                 .expect("launch");
             if !outcome.crashed() {
                 mem.flush_all();
@@ -139,14 +133,8 @@ fn repeated_crash_recover_cycles_converge() {
         LpConfig::recommended(),
     );
     let kernel = w.kernel(Some(&rt));
-    gpu.launch_with_crash(
-        kernel.as_ref(),
-        &mut mem,
-        CrashSpec {
-            after_global_stores: 200,
-        },
-    )
-    .expect("launch");
+    gpu.launch_with_plan(kernel.as_ref(), &mut mem, CrashPlan::after_stores(200))
+        .expect("launch");
     let eng = RecoveryEngine::new(&gpu);
     assert!(eng.recover(kernel.as_ref(), &rt, &mut mem).recovered);
     // Second power loss after recovery: recovery flushed, so nothing is

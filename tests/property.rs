@@ -10,7 +10,7 @@ use lpgpu::gpu_lp::table::{AtomicPolicy, ChecksumTableOps, LockPolicy, Quadratic
 use lpgpu::gpu_lp::{LpConfig, LpRuntime, RecoveryEngine};
 use lpgpu::lp_kernels::{workload_by_name, Scale};
 use lpgpu::nvm::{NvmConfig, PersistMemory};
-use lpgpu::simt::{BlockCtx, CrashSpec, DeviceConfig, DeviceState, Dim3, Gpu, LaunchConfig};
+use lpgpu::simt::{BlockCtx, CrashPlan, DeviceConfig, DeviceState, Dim3, Gpu, LaunchConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -56,7 +56,7 @@ proptest! {
         // Deterministic shuffle.
         let n = values.len();
         for i in (1..n).rev() {
-            let j = (lpgpu::gpu_lp::table::splitmix64(seed ^ i as u64) % (i as u64 + 1)) as usize;
+            let j = (lpgpu::nvm::splitmix64(seed ^ i as u64) % (i as u64 + 1)) as usize;
             values.swap(i, j);
         }
         prop_assert_eq!(set.digest(values), a);
@@ -167,7 +167,7 @@ proptest! {
         let rt = LpRuntime::setup(&mut mem, lc.num_blocks(), lc.threads_per_block(), LpConfig::recommended());
         let kernel = w.kernel(Some(&rt));
         let outcome = gpu
-            .launch_with_crash(kernel.as_ref(), &mut mem, CrashSpec { after_global_stores: crash_point })
+            .launch_with_plan(kernel.as_ref(), &mut mem, CrashPlan::after_stores(crash_point))
             .expect("launch");
         if !outcome.crashed() {
             mem.flush_all();
